@@ -1,5 +1,5 @@
 //! Emits `BENCH_crypto.json`: before/after rates for the ECDSA fast
-//! paths, measured on *this* machine.
+//! paths and the SHA-256 kernel, measured on *this* machine.
 //!
 //! "Before" numbers come from the verified reference paths kept
 //! in-tree (`Point::mul_reference`, `SigningKey::sign_digest_reference`,
@@ -12,6 +12,10 @@
 //! JSON additionally records the seed binary's absolute rates measured
 //! on the same machine for the end-to-end speedup.
 //!
+//! The `sha256_*` rows time the kernel `Digest` selects on this CPU
+//! (recorded as `sha256_kernel`) against `sha256_reference`, the
+//! portable kernel, on a 64 KiB buffer and a 96-byte vote-sized input.
+//!
 //! ```sh
 //! cargo run --release -p bench --bin bench_crypto_json   # or: make bench-crypto
 //! ```
@@ -19,7 +23,7 @@
 use hlf_crypto::bignum::U256;
 use hlf_crypto::ecdsa::SigningKey;
 use hlf_crypto::p256::Point;
-use hlf_crypto::sha256::sha256;
+use hlf_crypto::sha256::{kernel_name, sha256, sha256_reference};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -57,8 +61,13 @@ fn main() {
         .unwrap();
     let q = *vk.point();
     Point::mul_base(&k); // build the comb table outside the timing loops
+    let big = vec![0x5au8; 64 * 1024];
+    let small = [0xa5u8; 96];
 
-    eprintln!("measuring (median of 3 runs per row)...");
+    eprintln!(
+        "measuring (median of 3 runs per row, sha256 kernel {})...",
+        kernel_name()
+    );
     let rows = [
         Row {
             name: "p256_mul_base",
@@ -112,15 +121,35 @@ fn main() {
                     .unwrap();
             }),
         },
+        Row {
+            name: "sha256_64kib",
+            before_us: time_us(50, || {
+                black_box(sha256_reference(black_box(&big)));
+            }),
+            after_us: time_us(500, || {
+                black_box(sha256(black_box(&big)));
+            }),
+        },
+        Row {
+            name: "sha256_96b",
+            before_us: time_us(100_000, || {
+                black_box(sha256_reference(black_box(&small)));
+            }),
+            after_us: time_us(100_000, || {
+                black_box(sha256(black_box(&small)));
+            }),
+        },
     ];
 
     // Hand-rolled JSON: the workspace deliberately has no external crates.
     let mut out = String::from("{\n");
     out.push_str(
         "  \"description\": \"P-256 fast paths (fixed-base comb, windowed affine tables, \
-         Strauss-Shamir) vs the in-tree double-and-add reference; same binary, same machine\",\n",
+         Strauss-Shamir) vs the in-tree double-and-add reference, and the selected SHA-256 \
+         kernel vs the portable one; same binary, same machine\",\n",
     );
     out.push_str("  \"unit\": \"microseconds per operation\",\n");
+    out.push_str(&format!("  \"sha256_kernel\": \"{}\",\n", kernel_name()));
     out.push_str("  \"seed_binary\": {\n");
     out.push_str(
         "    \"note\": \"absolute rates of the pre-optimization seed (commit 42e160f) \

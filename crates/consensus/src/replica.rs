@@ -213,8 +213,9 @@ pub struct Metrics {
 struct Instance {
     /// Epoch = the regency this round runs under.
     epoch: u32,
-    batch: Option<Batch>,
-    hash: Option<Hash256>,
+    /// This epoch's installed proposal and its digest, computed once
+    /// when the proposal is installed.
+    value: Option<(Batch, Hash256)>,
     writes: QuorumTracker,
     accepts: QuorumTracker,
     write_sent: bool,
@@ -242,8 +243,7 @@ impl Instance {
     fn new(epoch: u32) -> Instance {
         Instance {
             epoch,
-            batch: None,
-            hash: None,
+            value: None,
             writes: QuorumTracker::new(),
             accepts: QuorumTracker::new(),
             write_sent: false,
@@ -262,8 +262,7 @@ impl Instance {
     /// history (used when a regency change bumps the epoch).
     fn bump_epoch(&mut self, epoch: u32) {
         self.epoch = epoch;
-        self.batch = None;
-        self.hash = None;
+        self.value = None;
         self.writes.clear();
         self.accepts.clear();
         self.write_sent = false;
@@ -538,7 +537,7 @@ impl Replica {
 
     /// Window slots currently holding an installed proposal.
     pub fn window_occupancy(&self) -> usize {
-        self.insts.values().filter(|i| i.batch.is_some()).count()
+        self.insts.values().filter(|i| i.value.is_some()).count()
     }
 
     // ------------------------------------------------------------------
@@ -567,8 +566,8 @@ impl Replica {
     fn in_flight_ids(&self) -> HashSet<(ClientId, u64)> {
         self.insts
             .values()
-            .filter_map(|i| i.batch.as_ref())
-            .flat_map(|b| b.requests.iter().map(|r| r.id()))
+            .filter_map(|i| i.value.as_ref())
+            .flat_map(|(b, _)| b.requests.iter().map(|r| r.id()))
             .collect()
     }
 
@@ -755,7 +754,7 @@ impl Replica {
         }
         loop {
             let Some(cid) = (self.next_cid..self.window_end())
-                .find(|cid| self.insts.get(cid).is_none_or(|i| i.batch.is_none()))
+                .find(|cid| self.insts.get(cid).is_none_or(|i| i.value.is_none()))
             else {
                 return; // window full
             };
@@ -773,7 +772,7 @@ impl Replica {
             };
             actions.push(Action::Broadcast(msg.clone()));
             self.handle(self.cfg.node, msg, actions);
-            if cid >= self.next_cid && self.insts.get(&cid).is_none_or(|i| i.batch.is_none()) {
+            if cid >= self.next_cid && self.insts.get(&cid).is_none_or(|i| i.value.is_none()) {
                 return; // own proposal not installed; avoid spinning
             }
         }
@@ -926,7 +925,7 @@ impl Replica {
         }
         if epoch != self.regency
             || from != self.leader()
-            || self.insts.get(&cid).is_some_and(|i| i.batch.is_some())
+            || self.insts.get(&cid).is_some_and(|i| i.value.is_some())
         {
             return;
         }
@@ -964,8 +963,7 @@ impl Replica {
         let now = self.now_ms;
         let epoch = {
             let slot = self.inst_mut(cid);
-            slot.hash = Some(hash);
-            slot.batch = Some(batch.clone());
+            slot.value = Some((batch.clone(), hash));
             slot.proposed_at = Some(now);
             slot.epoch
         };
@@ -1109,7 +1107,7 @@ impl Replica {
         let Some(slot) = self.insts.get(&cid) else {
             return;
         };
-        let Some(hash) = slot.hash else {
+        let Some((_, hash)) = slot.value else {
             return;
         };
         let cert = slot.writes.votes_for(hash);
@@ -1180,7 +1178,7 @@ impl Replica {
             if !slot.accept_sent {
                 break; // write quorum not formed yet: stop, stay in order
             }
-            let (Some(hash), Some(batch)) = (slot.hash, slot.batch.clone()) else {
+            let Some((batch, hash)) = slot.value.clone() else {
                 break;
             };
             self.inst_mut(cid).tentative = Some(hash);
@@ -1264,8 +1262,9 @@ impl Replica {
                 hash,
                 votes: slot.accepts.votes_for(hash),
             };
-            match slot.batch.clone() {
-                Some(batch) if batch.digest() == hash => {
+            match &slot.value {
+                Some((batch, installed)) if *installed == hash => {
+                    let batch = batch.clone();
                     self.inst_mut(cid).decided = Some((batch, proof));
                 }
                 _ => {

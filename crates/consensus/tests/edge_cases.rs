@@ -440,3 +440,65 @@ fn transferred_requests_are_never_ordered_again() {
     assert_eq!(cid, 2);
     assert!(batch.is_empty(), "new leader re-ordered {:?}", batch.requests);
 }
+
+#[test]
+fn accept_quorum_for_another_value_fetches_it_instead_of_committing_installed() {
+    // Replica 1 installed batch A for cid 1, but an ACCEPT quorum forms
+    // for digest(B). The slot's stored digest (of A) must not pass for
+    // B's: nothing commits, and the replica asks its peers for B.
+    let (signing, _) = test_keys(4);
+    let mut replica = standalone(4, 1, 1);
+    let batch_a = Batch::new(vec![req(1)]);
+    let batch_b = Batch::new(vec![req(2)]);
+    replica.on_message(
+        0,
+        NodeId(0),
+        ConsensusMsg::Propose {
+            cid: 1,
+            epoch: 0,
+            batch: batch_a,
+        },
+    );
+    let accepts: Vec<Vote> = [0u32, 2, 3]
+        .into_iter()
+        .map(|i| {
+            let key = &signing[i as usize];
+            Vote::sign(key, VotePhase::Accept, NodeId(i), 1, 0, batch_b.digest())
+        })
+        .collect();
+    let mut actions = Vec::new();
+    for vote in &accepts {
+        actions.extend(replica.on_message(0, vote.node, ConsensusMsg::Accept(vote.clone())));
+    }
+    assert!(
+        !actions.iter().any(|a| matches!(a, Action::Commit { .. })),
+        "committed the installed batch against another value's quorum"
+    );
+    for peer in [0u32, 2, 3] {
+        assert!(
+            actions.contains(&Action::Send(NodeId(peer), ConsensusMsg::ValueRequest { cid: 1 })),
+            "no ValueRequest to replica {peer}"
+        );
+    }
+    assert_eq!(replica.next_cid(), 1);
+
+    // The fetched value, with the quorum as its proof, then commits.
+    let proof = DecisionProof {
+        cid: 1,
+        hash: batch_b.digest(),
+        votes: accepts,
+    };
+    let actions = replica.on_message(
+        0,
+        NodeId(2),
+        ConsensusMsg::ValueReply {
+            cid: 1,
+            batch: batch_b.clone(),
+            proof,
+        },
+    );
+    assert!(actions
+        .iter()
+        .any(|a| matches!(a, Action::Commit { cid: 1, batch, .. } if *batch == batch_b)));
+    assert_eq!(replica.next_cid(), 2);
+}

@@ -1,6 +1,12 @@
 //! FIPS 180-4 SHA-256, one-shot and incremental.
+//!
+//! The compression function runs on the x86-64 SHA extensions when the
+//! CPU has them, detected once at run time, and on portable code
+//! otherwise. Both produce identical output; the portable kernel stays as
+//! the reference the tests and `bench_crypto_json` compare against.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A 256-bit hash value.
 ///
@@ -110,6 +116,7 @@ pub struct Digest {
     buffer: [u8; 64],
     buffered: usize,
     total_len: u64,
+    kernel: Kernel,
 }
 
 impl fmt::Debug for Digest {
@@ -127,18 +134,23 @@ impl Default for Digest {
 }
 
 impl Digest {
-    /// Creates a fresh hasher.
+    /// Creates a fresh hasher on the fastest kernel this CPU runs.
     pub fn new() -> Digest {
+        Digest::with_kernel(Kernel::selected())
+    }
+
+    fn with_kernel(kernel: Kernel) -> Digest {
         Digest {
             state: H0,
             buffer: [0u8; 64],
             buffered: 0,
             total_len: 0,
+            kernel,
         }
     }
 
     /// Absorbs `data` into the hash state.
-    // lint:allow(panic): `take ≤ 64 - buffered` keeps every range inside the 64-byte buffer; `split_at(64)` yields exact 64-byte blocks
+    // lint:allow(panic): `take ≤ 64 - buffered` keeps every range inside the 64-byte buffer, and the tail of `as_chunks::<64>` is shorter than 64 bytes
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut rest = data;
@@ -147,41 +159,89 @@ impl Digest {
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&rest[..take]);
             self.buffered += take;
             rest = &rest[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                compress(&mut self.state, &block);
-                self.buffered = 0;
+            if self.buffered < 64 {
+                return;
             }
+            self.kernel
+                .compress(&mut self.state, std::slice::from_ref(&self.buffer));
+            self.buffered = 0;
         }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            compress(&mut self.state, block.try_into().expect("64-byte block"));
-            rest = tail;
+        // Every whole block goes to the kernel in one call.
+        let (blocks, tail) = rest.as_chunks::<64>();
+        if !blocks.is_empty() {
+            self.kernel.compress(&mut self.state, blocks);
         }
-        if !rest.is_empty() {
-            self.buffer[..rest.len()].copy_from_slice(rest);
-            self.buffered = rest.len();
-        }
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffered = tail.len();
     }
 
     /// Finishes the hash and returns the digest, consuming the hasher.
-    // lint:allow(panic): `i < 8` state words map to `i * 4 + 4 ≤ 32` in the 32-byte digest
+    // lint:allow(panic): `update` leaves `buffered < 64`, so the 0x80 byte and the zero fill after it stay inside the 64-byte buffer
     pub fn finalize(mut self) -> Hash256 {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0x00]);
+        // Padding: 0x80, zeros up to byte 56 of a block, then the 8-byte
+        // big-endian bit length, written into the buffer in place.
+        self.buffer[self.buffered] = 0x80;
+        self.buffer[self.buffered + 1..].fill(0);
+        if self.buffered >= 56 {
+            // No room left for the length: it takes one more block.
+            self.kernel
+                .compress(&mut self.state, std::slice::from_ref(&self.buffer));
+            self.buffer = [0u8; 64];
         }
-        // Manual absorb of the length so total_len bookkeeping is unaffected.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        compress(&mut self.state, &block);
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
+        self.kernel
+            .compress(&mut self.state, std::slice::from_ref(&self.buffer));
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.as_chunks_mut::<4>().0.iter_mut().zip(self.state) {
+            *bytes = word.to_be_bytes();
         }
         Hash256(out)
+    }
+}
+
+/// A SHA-256 compression kernel: folds whole 64-byte blocks into the
+/// chaining state. The kernels compute the same function and differ only
+/// in the instructions they use.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernel {
+    /// The portable FIPS 180-4 rounds of [`compress`]: runs on any CPU and
+    /// is the reference the hardware kernel is tested against.
+    Portable,
+    /// The x86-64 SHA extensions; the token proves the CPU has them.
+    #[cfg(target_arch = "x86_64")]
+    ShaNi(shani::Cpu),
+}
+
+impl Kernel {
+    /// The fastest kernel the running CPU supports, chosen once per process.
+    fn selected() -> Kernel {
+        static SELECTED: OnceLock<Kernel> = OnceLock::new();
+        *SELECTED.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            if let Some(cpu) = shani::Cpu::detect() {
+                return Kernel::ShaNi(cpu);
+            }
+            Kernel::Portable
+        })
+    }
+
+    fn compress(self, state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        match self {
+            Kernel::Portable => blocks.iter().for_each(|block| compress(state, block)),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::ShaNi(cpu) => cpu.compress(state, blocks),
+        }
+    }
+}
+
+/// Name of the compression kernel [`Digest`] runs on this CPU: `"sha-ni"`
+/// when the CPU has the x86-64 SHA extensions, `"portable"` otherwise.
+pub fn kernel_name() -> &'static str {
+    match Kernel::selected() {
+        Kernel::Portable => "portable",
+        #[cfg(target_arch = "x86_64")]
+        Kernel::ShaNi(_) => "sha-ni",
     }
 }
 
@@ -232,6 +292,131 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     state[7] = state[7].wrapping_add(h);
 }
 
+/// The compression kernel on the x86-64 SHA extensions (SHA-NI).
+///
+/// `sha256rnds2` runs two rounds per instruction on the state held as the
+/// lane groups ABEF and CDGH; `sha256msg1` and `sha256msg2` extend the
+/// message schedule four words at a time. This is the instruction
+/// sequence Intel publishes for the extensions. The intrinsics themselves
+/// are safe inside a `#[target_feature]` function; `unsafe` is needed
+/// only for the unaligned vector loads and stores and for entering that
+/// function, which is sound only on a CPU that has the features.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::K;
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi64x,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+        _mm_shuffle_epi8, _mm_storeu_si128,
+    };
+
+    /// Proof that the running CPU executes SHA, SSSE3 and SSE4.1
+    /// instructions. The private field lets only [`Cpu::detect`] make one.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(super) struct Cpu(());
+
+    impl Cpu {
+        pub(super) fn detect() -> Option<Cpu> {
+            let has_all = is_x86_feature_detected!("sha")
+                && is_x86_feature_detected!("ssse3")
+                && is_x86_feature_detected!("sse4.1");
+            has_all.then_some(Cpu(()))
+        }
+
+        pub(super) fn compress(self, state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+            // SAFETY: a `Cpu` exists only after `detect` saw the CPU report
+            // every feature `compress_blocks` is compiled for.
+            unsafe { compress_blocks(state, blocks) }
+        }
+    }
+
+    // SAFETY: callers must run on a CPU with sha, ssse3 and sse4.1. The
+    // only caller, `Cpu::compress`, holds a `Cpu`, which proves it.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        // Message words are big-endian: reverse the bytes of each lane.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let (round_keys, _) = K.as_chunks::<4>();
+        let [dcba, hgfe] = load_state(state);
+        // Regroup the words as ABEF and CDGH, the layout sha256rnds2 uses.
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let [w0, w1, w2, w3] = load_block(block);
+            let mut w0 = _mm_shuffle_epi8(w0, bswap);
+            let mut w1 = _mm_shuffle_epi8(w1, bswap);
+            let mut w2 = _mm_shuffle_epi8(w2, bswap);
+            let mut w3 = _mm_shuffle_epi8(w3, bswap);
+            // Four rounds per step; `w0` holds the step's message words.
+            for keys in round_keys {
+                let wk = _mm_add_epi32(w0, load_words(keys));
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+                // The next four schedule words from the last sixteen (the
+                // last three steps compute words no round uses).
+                let w4 = _mm_sha256msg2_epu32(
+                    _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4)),
+                    w3,
+                );
+                (w0, w1, w2, w3) = (w1, w2, w3, w4);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        // Back to the word order of `state`.
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        store_state(
+            state,
+            _mm_blend_epi16(feba, dchg, 0xf0),
+            _mm_alignr_epi8(dchg, feba, 8),
+        );
+    }
+
+    #[inline(always)]
+    fn load_block(block: &[u8; 64]) -> [__m128i; 4] {
+        let p = block.as_ptr().cast::<__m128i>();
+        // SAFETY: four unaligned 16-byte loads read exactly the 64 bytes
+        // of `block`.
+        unsafe {
+            [
+                _mm_loadu_si128(p),
+                _mm_loadu_si128(p.add(1)),
+                _mm_loadu_si128(p.add(2)),
+                _mm_loadu_si128(p.add(3)),
+            ]
+        }
+    }
+
+    #[inline(always)]
+    fn load_words(words: &[u32; 4]) -> __m128i {
+        // SAFETY: one unaligned 16-byte load reads exactly `words`.
+        unsafe { _mm_loadu_si128(words.as_ptr().cast()) }
+    }
+
+    #[inline(always)]
+    fn load_state(state: &[u32; 8]) -> [__m128i; 2] {
+        let p = state.as_ptr().cast::<__m128i>();
+        // SAFETY: two unaligned 16-byte loads read exactly the 32 bytes
+        // of `state`.
+        unsafe { [_mm_loadu_si128(p), _mm_loadu_si128(p.add(1))] }
+    }
+
+    #[inline(always)]
+    fn store_state(state: &mut [u32; 8], abcd: __m128i, efgh: __m128i) {
+        let p = state.as_mut_ptr().cast::<__m128i>();
+        // SAFETY: two unaligned 16-byte stores write exactly the 32 bytes
+        // of `state`, which the `&mut` borrow holds exclusively.
+        unsafe {
+            _mm_storeu_si128(p, abcd);
+            _mm_storeu_si128(p.add(1), efgh);
+        }
+    }
+}
+
 /// One-shot SHA-256 of `data`.
 ///
 /// # Examples
@@ -261,11 +446,28 @@ pub fn sha256_concat(parts: &[&[u8]]) -> Hash256 {
     d.finalize()
 }
 
+/// SHA-256 of `data` on the portable kernel, whatever the CPU: the
+/// reference the hardware kernel is tested and benchmarked against.
+pub fn sha256_reference(data: &[u8]) -> Hash256 {
+    let mut d = Digest::with_kernel(Kernel::Portable);
+    d.update(data);
+    d.finalize()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hlf_simnet::rng::check_property;
 
-    /// NIST FIPS 180-4 / common test vectors.
+    /// Every kernel this CPU runs: the portable one, and SHA-NI if present.
+    fn kernels() -> Vec<Kernel> {
+        let mut all = vec![Kernel::Portable];
+        #[cfg(target_arch = "x86_64")]
+        all.extend(shani::Cpu::detect().map(Kernel::ShaNi));
+        all
+    }
+
+    /// NIST FIPS 180-4 / common test vectors, through each kernel.
     #[test]
     fn nist_vectors() {
         let cases: [(&[u8], &str); 5] = [
@@ -290,6 +492,13 @@ mod tests {
                 "d7a8fbb307d7809469ca9abcb0082e4f8d5651e46d3cdb762d02d0bf37c9e592",
             ),
         ];
+        for kernel in kernels() {
+            for (input, expected) in cases {
+                let mut d = Digest::with_kernel(kernel);
+                d.update(input);
+                assert_eq!(d.finalize().to_hex(), expected, "{kernel:?}");
+            }
+        }
         for (input, expected) in cases {
             assert_eq!(sha256(input).to_hex(), expected);
         }
@@ -297,15 +506,47 @@ mod tests {
 
     #[test]
     fn million_a() {
-        let mut d = Digest::new();
         let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            d.update(&chunk);
+        for kernel in kernels() {
+            let mut d = Digest::with_kernel(kernel);
+            for _ in 0..1000 {
+                d.update(&chunk);
+            }
+            assert_eq!(
+                d.finalize().to_hex(),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{kernel:?}"
+            );
         }
-        assert_eq!(
-            d.finalize().to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+    }
+
+    #[test]
+    fn dispatched_digest_matches_portable_reference() {
+        check_property("dispatched_digest_matches_portable_reference", 256, |rng| {
+            let mut data = vec![0u8; rng.next_range(4097) as usize];
+            rng.fill_bytes(&mut data);
+            let mut d = Digest::new();
+            let mut rest = &data[..];
+            while !rest.is_empty() {
+                let (part, tail) = rest.split_at(rng.next_range(rest.len() as u64 + 1) as usize);
+                d.update(part);
+                rest = tail;
+            }
+            assert_eq!(d.finalize(), sha256_reference(&data), "len {}", data.len());
+        });
+    }
+
+    /// A CPU with the SHA extensions must get the SHA-NI kernel: a silent
+    /// fallback to the portable one fails here.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn sha_ni_selected_when_cpu_has_it() {
+        let expected = if is_x86_feature_detected!("sha") {
+            "sha-ni"
+        } else {
+            "portable"
+        };
+        assert_eq!(kernel_name(), expected);
     }
 
     #[test]

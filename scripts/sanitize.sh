@@ -4,10 +4,11 @@
 #   scripts/sanitize.sh asan   # AddressSanitizer (works on plain nightly)
 #   scripts/sanitize.sh tsan   # ThreadSanitizer (also needs rust-src)
 #
-# Runs the threaded test surface under the sanitizer with
-# `cargo +nightly test --offline`: the transport unit tests (TCP links +
-# admin socket), the cross-backend `tcp_codec` suite, and the
-# kill/restart `tcp_cluster` integration test. The explicit `--target`
+# Runs the threaded and `unsafe` test surface under the sanitizer with
+# `cargo +nightly test --offline`: the crypto unit tests (the SHA-NI
+# kernel's `unsafe` vector loads and stores), the transport unit tests
+# (TCP links + admin socket), the cross-backend `tcp_codec` suite, and
+# the kill/restart `tcp_cluster` integration test. The explicit `--target`
 # keeps RUSTFLAGS off host-only build steps; the build lands in its own
 # target directory so it never invalidates the regular one.
 #
@@ -68,6 +69,7 @@ run_test() { # name, cargo target-selection args...
   echo "$out" | sed -n "s/^test result.*/[$MODE:$name] &/p"
 }
 
+run_test crypto -p hlf-crypto --lib
 run_test transport -p hlf-transport --lib
 run_test tcp_codec -p hlf-smr --test tcp_codec
 run_test tcp_cluster -p hlf-bft --test tcp_cluster
